@@ -67,9 +67,9 @@ func (b *Batcher) Flush() {
 	case 0:
 		return
 	case 1:
-		p, err := Decode(b.pending[2:])
-		if err == nil { // cannot fail: we encoded it
-			frame, raw := EncodeV2(p, b.MinCompress)
+		var p Packet
+		if decodeInto(b.pending[2:], &p) == nil { // cannot fail: we encoded it
+			frame, raw := EncodeV2(&p, b.MinCompress)
 			b.Emit(frame, 1, raw)
 		}
 	default:
@@ -77,8 +77,8 @@ func (b *Batcher) Flush() {
 		// carrying the inner count for observability; decoders ignore
 		// it and trust only the inner encodings.
 		l := int(binary.BigEndian.Uint16(b.pending[:2]))
-		first, err := Decode(b.pending[2 : 2+l])
-		if err != nil {
+		var first Packet
+		if decodeInto(b.pending[2:2+l], &first) != nil {
 			break // cannot fail: we encoded it
 		}
 		outer := Packet{
@@ -86,15 +86,7 @@ func (b *Batcher) Flush() {
 			Aux: uint32(b.count), Src: first.Src,
 		}
 		rawLen := HeaderLenV2 + len(b.pending) + TrailerLen
-		payload := b.pending
-		wf := WireCarrier
-		if b.MinCompress > 0 && len(payload) >= b.MinCompress {
-			if c := deflate(payload); len(c) < len(payload) {
-				payload = c
-				wf |= WireCompressed
-			}
-		}
-		b.Emit(sealV2(&outer, wf, payload), b.count, rawLen)
+		b.Emit(sealMaybeCompressed(&outer, WireCarrier, b.pending, b.MinCompress), b.count, rawLen)
 	}
 	b.pending = b.pending[:0]
 	b.count = 0

@@ -188,16 +188,26 @@ var (
 // are copied into the preallocated message buffer (Receiver.store) or
 // read to completion (membership views) before the handler returns.
 func Decode(b []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := decodeInto(b, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// decodeInto parses an encoded v1 packet into p, overwriting every
+// field, with Decode's borrow semantics for the payload.
+func decodeInto(b []byte, p *Packet) error {
 	if len(b) < HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if b[0] != Magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	if b[1] != Version {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
-	p := &Packet{
+	*p = Packet{
 		Type:  Type(b[2]),
 		Flags: Flags(b[3]),
 		MsgID: binary.BigEndian.Uint32(b[4:8]),
@@ -206,12 +216,12 @@ func Decode(b []byte) (*Packet, error) {
 		Src:   binary.BigEndian.Uint16(b[16:18]),
 	}
 	if !p.Type.Valid() {
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	if len(b) > HeaderLen {
 		p.Payload = b[HeaderLen:]
 	}
-	return p, nil
+	return nil
 }
 
 // DecodeCopy parses an encoded v1 packet into storage of its own: the

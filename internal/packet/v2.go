@@ -38,6 +38,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // Version2 marks a checksummed v2 frame.
@@ -93,18 +94,26 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // (minCompress <= 0 disables compression). It returns the frame and
 // its uncompressed wire length — equal to len(frame) when compression
 // did not apply, so callers can account savings without re-deriving
-// them.
+// them. The frame is the call's only allocation: the compressor comes
+// from a process-wide pool.
 func EncodeV2(p *Packet, minCompress int) (frame []byte, rawLen int) {
-	rawLen = HeaderLenV2 + len(p.Payload) + TrailerLen
-	payload := p.Payload
-	var wf WireFlags
-	if minCompress > 0 && len(payload) >= minCompress {
-		if c := deflate(payload); len(c) < len(payload) {
-			payload = c
-			wf |= WireCompressed
-		}
+	return sealMaybeCompressed(p, 0, p.Payload, minCompress), HeaderLenV2 + len(p.Payload) + TrailerLen
+}
+
+// sealMaybeCompressed seals payload under wf, first deflating it when
+// it is at least minCompress bytes and deflate shrinks it.
+func sealMaybeCompressed(p *Packet, wf WireFlags, payload []byte, minCompress int) []byte {
+	if minCompress <= 0 || len(payload) < minCompress {
+		return sealV2(p, wf, payload)
 	}
-	return sealV2(p, wf, payload), rawLen
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	if c := d.deflate(payload); c != nil && len(c) < len(payload) {
+		// sealV2 copies c out of the pooled buffer before the deferred
+		// Put hands the deflater to another caller.
+		return sealV2(p, wf|WireCompressed, c)
+	}
+	return sealV2(p, wf, payload)
 }
 
 // sealV2 assembles a v2 frame around an already-prepared payload.
@@ -127,10 +136,14 @@ func sealV2(p *Packet, wf WireFlags, payload []byte) []byte {
 
 // DecodeFrame parses one wire frame of either version and calls emit
 // for each logical packet it carries: once for a plain frame, once per
-// inner packet for a carrier. Emitted packets and their payloads are
-// borrows — valid only during the emit call, possibly aliasing b or a
-// transient decompression buffer — so handlers that retain data must
-// copy it (see Clone). Returns without calling emit on any error.
+// inner packet for a carrier. Emitted packets are borrows, valid only
+// during the emit call: within one call the same *Packet is reused for
+// every inner packet of a carrier, and its Payload may alias b or a
+// pooled decompression buffer. Handlers that retain a packet or its
+// data must copy it (see Clone). Returns without calling emit on any
+// error. Steady-state decoding of a v2 frame allocates nothing: its
+// decoder state comes from a process-wide pool, so concurrent callers
+// are safe.
 func DecodeFrame(b []byte, emit func(*Packet)) error {
 	if len(b) >= 2 && b[0] == Magic && b[1] == Version2 {
 		return decodeV2(b, emit)
@@ -145,7 +158,8 @@ func DecodeFrame(b []byte, emit func(*Packet)) error {
 
 // DecodeFrameV2 is the strict decoder for v2 sessions: it accepts only
 // v2 frames, so a corrupted version byte cannot demote a frame to the
-// checksum-less v1 path. Emit semantics match DecodeFrame.
+// checksum-less v1 path. Emit semantics, including the reuse of the
+// emitted *Packet, match DecodeFrame.
 func DecodeFrameV2(b []byte, emit func(*Packet)) error {
 	if len(b) < HeaderLenV2+TrailerLen {
 		return ErrTruncated
@@ -167,7 +181,26 @@ func decodeV2(b []byte, emit func(*Packet)) error {
 	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(b[len(b)-TrailerLen:]) {
 		return ErrBadCRC
 	}
-	p := Packet{
+	if !Type(b[2]).Valid() {
+		return ErrBadType
+	}
+	wf := WireFlags(b[18])
+	if wf&^wireFlagsKnown != 0 {
+		return ErrBadWireFlags
+	}
+	d := decoders.Get().(*decoder)
+	defer decoders.Put(d)
+	payload := body[HeaderLenV2:]
+	if wf&WireCompressed != 0 {
+		var err error
+		if payload, err = d.inflate(payload); err != nil {
+			return err
+		}
+	}
+	if wf&WireCarrier != 0 {
+		return d.decodeCarrier(payload, emit)
+	}
+	d.pkt = Packet{
 		Type:  Type(b[2]),
 		Flags: Flags(b[3]),
 		MsgID: binary.BigEndian.Uint32(b[4:8]),
@@ -175,35 +208,21 @@ func decodeV2(b []byte, emit func(*Packet)) error {
 		Aux:   binary.BigEndian.Uint32(b[12:16]),
 		Src:   binary.BigEndian.Uint16(b[16:18]),
 	}
-	if !p.Type.Valid() {
-		return ErrBadType
-	}
-	wf := WireFlags(b[18])
-	if wf&^wireFlagsKnown != 0 {
-		return ErrBadWireFlags
-	}
-	payload := body[HeaderLenV2:]
-	if wf&WireCompressed != 0 {
-		var err error
-		if payload, err = inflate(payload); err != nil {
-			return err
-		}
-	}
-	if wf&WireCarrier != 0 {
-		return decodeCarrier(payload, emit)
-	}
 	if len(payload) > 0 {
-		p.Payload = payload
+		d.pkt.Payload = payload
 	}
-	emit(&p)
+	emit(&d.pkt)
 	return nil
 }
 
-// decodeCarrier walks a carrier payload, emitting each inner packet.
-// The whole carrier is validated before the first emit so a malformed
-// tail cannot deliver a prefix.
-func decodeCarrier(payload []byte, emit func(*Packet)) error {
-	var inner []*Packet
+// decodeCarrier walks a carrier payload, emitting each inner packet
+// through d's one scratch Packet. The whole carrier is validated
+// before the first emit so a malformed tail cannot deliver a prefix;
+// the emitting pass then re-decodes inner packets that are known good.
+func (d *decoder) decodeCarrier(payload []byte, emit func(*Packet)) error {
+	if len(payload) == 0 {
+		return ErrBadCarrier
+	}
 	for off := 0; off < len(payload); {
 		if off+2 > len(payload) {
 			return ErrBadCarrier
@@ -213,18 +232,17 @@ func decodeCarrier(payload []byte, emit func(*Packet)) error {
 		if l < HeaderLen || off+l > len(payload) {
 			return ErrBadCarrier
 		}
-		p, err := Decode(payload[off : off+l])
-		if err != nil {
+		if decodeInto(payload[off:off+l], &d.pkt) != nil {
 			return ErrBadCarrier
 		}
-		inner = append(inner, p)
 		off += l
 	}
-	if len(inner) == 0 {
-		return ErrBadCarrier
-	}
-	for _, p := range inner {
-		emit(p)
+	for off := 0; off < len(payload); {
+		l := int(binary.BigEndian.Uint16(payload[off:]))
+		off += 2
+		_ = decodeInto(payload[off:off+l], &d.pkt) // validated above
+		emit(&d.pkt)
+		off += l
 	}
 	return nil
 }
@@ -241,33 +259,66 @@ func (p *Packet) Clone() *Packet {
 	return &q
 }
 
-func deflate(src []byte) []byte {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return src // cannot happen with a valid level; fail open to raw
-	}
-	if _, err := w.Write(src); err != nil {
-		return src
-	}
-	if err := w.Close(); err != nil {
-		return src
-	}
-	return buf.Bytes()
+// Flate state is pooled process-wide rather than kept per node: a
+// BestSpeed writer is about 1.2 MB and a reader about 40 KB, so state
+// pinned in each of a simulation's codecs would cost megabytes of live
+// heap, while a running simulation has at most one encode and one
+// decode in flight.
+var (
+	deflaters = sync.Pool{New: func() any {
+		d := new(deflater)
+		d.w, _ = flate.NewWriter(&d.buf, flate.BestSpeed) // err only for a bad level
+		return d
+	}}
+	decoders = sync.Pool{New: func() any { return new(decoder) }}
+)
+
+// deflater is a reusable BestSpeed compressor and its output buffer.
+type deflater struct {
+	w   *flate.Writer
+	buf bytes.Buffer
 }
 
-func inflate(src []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(src))
-	defer r.Close()
-	var buf bytes.Buffer
-	n, err := io.Copy(&buf, io.LimitReader(r, maxInflate+1))
-	if err != nil {
+// deflate returns src's flate encoding, or nil if the writer failed.
+// The result aliases d's buffer: it is valid until d's next use.
+func (d *deflater) deflate(src []byte) []byte {
+	d.buf.Reset()
+	d.w.Reset(&d.buf) // output identical to a fresh writer's
+	if _, err := d.w.Write(src); err != nil {
+		return nil
+	}
+	if err := d.w.Close(); err != nil {
+		return nil
+	}
+	return d.buf.Bytes()
+}
+
+// decoder is the reusable state of one decode call: the packet it
+// emits, and the flate reader, its input, its output bound and its
+// output buffer.
+type decoder struct {
+	pkt Packet
+	src bytes.Reader
+	fr  io.ReadCloser
+	lr  io.LimitedReader
+	out bytes.Buffer
+}
+
+// inflate decompresses src into d's buffer, rejecting anything that
+// expands past maxInflate. The result is valid until d's next use.
+func (d *decoder) inflate(src []byte) ([]byte, error) {
+	d.src.Reset(src)
+	if d.fr == nil {
+		d.fr = flate.NewReader(&d.src)
+	} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return nil, ErrBadCompression
 	}
-	if n > maxInflate {
+	d.lr = io.LimitedReader{R: d.fr, N: maxInflate + 1}
+	d.out.Reset()
+	if _, err := d.out.ReadFrom(&d.lr); err != nil || d.out.Len() > maxInflate {
 		return nil, ErrBadCompression
 	}
-	return buf.Bytes(), nil
+	return d.out.Bytes(), nil
 }
 
 // IsCorrupt reports whether a decode error indicates a damaged frame

@@ -35,15 +35,15 @@ func FuzzDecodeFrame(f *testing.F) {
 	// A v1 frame (accepted by DecodeFrame, rejected by DecodeFrameV2).
 	f.Add((&Packet{Type: TypeAck, Seq: 7}).Encode())
 	// Rejection classes.
-	f.Add(plain[:HeaderLenV2])                   // truncated before trailer
-	f.Add(plain[:len(plain)-1])                  // truncated trailer
-	corrupt := append([]byte(nil), plain...)     // corrupted payload byte
+	f.Add(plain[:HeaderLenV2])               // truncated before trailer
+	f.Add(plain[:len(plain)-1])              // truncated trailer
+	corrupt := append([]byte(nil), plain...) // corrupted payload byte
 	corrupt[HeaderLenV2] ^= 0x40
 	f.Add(corrupt)
-	demoted := append([]byte(nil), plain...)     // version byte flipped to 1
+	demoted := append([]byte(nil), plain...) // version byte flipped to 1
 	demoted[1] = Version
 	f.Add(demoted)
-	badwf := append([]byte(nil), plain...)       // unknown wire flag
+	badwf := append([]byte(nil), plain...) // unknown wire flag
 	badwf[18] = 0x80
 	f.Add(badwf)
 	// Carrier with a valid CRC but garbage payload structure.

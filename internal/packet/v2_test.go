@@ -327,15 +327,38 @@ func TestDecodePayloadAliasesInput(t *testing.T) {
 }
 
 // TestV2DecompressionBombRejected: a forged frame whose compressed
-// payload inflates past the UDP maximum is dropped, not allocated.
+// payload inflates past the UDP maximum is dropped, not allocated. The
+// bomb arrives after pooled decoder state has inflated a good frame,
+// and a good frame decodes correctly after it: a reused reader keeps
+// the bound and carries nothing across frames.
 func TestV2DecompressionBombRejected(t *testing.T) {
+	good := v2Corpus()["carrier-compressed"]
+	want := decodeOne(t, good)
 	huge := make([]byte, maxInflate+4096)
 	p := &Packet{Type: TypeData, Seq: 1}
-	frame := sealV2(p, WireCompressed, deflate(huge))
+	frame := sealV2(p, WireCompressed, freshDeflate(t, huge))
 	if err := DecodeFrameV2(frame, func(*Packet) {
 		t.Fatal("bomb emitted a packet")
 	}); err != ErrBadCompression {
 		t.Fatalf("err = %v, want ErrBadCompression", err)
+	}
+	// The bound caps memory, not only the verdict: inflating a much
+	// larger bomb stops after maxInflate+1 bytes of output.
+	d := new(decoder)
+	if _, err := d.inflate(freshDeflate(t, make([]byte, 4<<20))); err != ErrBadCompression {
+		t.Fatalf("4 MiB bomb: err = %v, want ErrBadCompression", err)
+	}
+	if d.out.Cap() > 4*maxInflate {
+		t.Fatalf("inflating a bomb grew the output buffer to %d bytes", d.out.Cap())
+	}
+	got := decodeOne(t, good)
+	if len(got) != len(want) {
+		t.Fatalf("good frame after the bomb unpacked %d packets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !samePacket(got[i], want[i]) {
+			t.Fatalf("good frame after the bomb: packet %d changed", i)
+		}
 	}
 }
 
