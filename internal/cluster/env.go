@@ -25,9 +25,6 @@ type nodeEnv struct {
 	// codec frames this node's traffic in wire format v2; nil leaves
 	// the v1 path below byte-identical to the golden traces.
 	codec *wire.Codec
-
-	decodeErrors uint64
-	unknownFrom  uint64
 }
 
 // newNodeEnv binds the endpoint socket on the host for node id. Call
@@ -58,33 +55,30 @@ func (e *nodeEnv) onDatagram(dg *ipnet.Datagram) {
 			return
 		}
 	}
-	if e.codec != nil {
-		from := core.NodeID(dg.Src)
-		if int(from) < 0 || int(from) >= len(e.c.Hosts) {
-			e.unknownFrom++
-			return
-		}
-		if err := e.codec.Decode(frame, func(p *packet.Packet) {
-			e.trace(trace.Recv, int(from), p)
-			e.c.Cfg.Metrics.CountRecv(p.Type)
-			if e.ep != nil {
-				e.ep.OnPacket(from, p)
-			}
-		}); err != nil {
-			e.decodeErrors++
-		}
-		return
-	}
-	p, err := packet.Decode(frame)
-	if err != nil {
-		e.decodeErrors++
-		return
-	}
+	mx := e.c.Cfg.Metrics
 	from := core.NodeID(dg.Src)
 	if int(from) < 0 || int(from) >= len(e.c.Hosts) {
-		e.unknownFrom++
+		mx.CountUnknownSource()
 		return
 	}
+	if e.codec == nil {
+		p, err := packet.Decode(frame)
+		if err != nil {
+			mx.CountDecodeError()
+			return
+		}
+		e.deliver(from, p)
+		return
+	}
+	// The codec counts a frame that fails any v2 guard as corrupt; such
+	// a frame emitted nothing and is dropped whole.
+	if err := e.codec.Decode(frame, func(p *packet.Packet) { e.deliver(from, p) }); err != nil {
+		return
+	}
+}
+
+// deliver traces, counts and dispatches one decoded logical packet.
+func (e *nodeEnv) deliver(from core.NodeID, p *packet.Packet) {
 	e.trace(trace.Recv, int(from), p)
 	e.c.Cfg.Metrics.CountRecv(p.Type)
 	if e.ep != nil {

@@ -164,22 +164,27 @@ func (e *msEnv) setEndpoint(ep core.Endpoint) { e.ep = ep }
 func (e *msEnv) onDatagram(dg *ipnet.Datagram) {
 	from, ok := e.rankOf[dg.Src]
 	if !ok {
-		return // not a member of this session
-	}
-	if e.codec != nil {
-		_ = e.codec.Decode(dg.Payload, func(p *packet.Packet) {
-			e.trace(trace.Recv, int(from), p)
-			e.mx.CountRecv(p.Type)
-			if e.ep != nil {
-				e.ep.OnPacket(from, p)
-			}
-		})
+		e.mx.CountUnknownSource() // not a member of this session
 		return
 	}
-	p, err := packet.Decode(dg.Payload)
-	if err != nil {
+	if e.codec == nil {
+		p, err := packet.Decode(dg.Payload)
+		if err != nil {
+			e.mx.CountDecodeError()
+			return
+		}
+		e.deliver(from, p)
 		return
 	}
+	// The codec counts a frame that fails any v2 guard as corrupt; such
+	// a frame emitted nothing and is dropped whole.
+	if err := e.codec.Decode(dg.Payload, func(p *packet.Packet) { e.deliver(from, p) }); err != nil {
+		return
+	}
+}
+
+// deliver traces, counts and dispatches one decoded logical packet.
+func (e *msEnv) deliver(from core.NodeID, p *packet.Packet) {
 	e.trace(trace.Recv, int(from), p)
 	e.mx.CountRecv(p.Type)
 	if e.ep != nil {

@@ -100,20 +100,26 @@ func (e *sessEnv) CancelTimer(id core.TimerID) { e.host.CancelTimer(sim.EventID(
 func (e *sessEnv) UserCopy(n int) { e.host.UserCopy(n, func() {}) }
 
 func (e *sessEnv) onDatagram(dg *ipnet.Datagram) {
-	if e.codec != nil {
-		_ = e.codec.Decode(dg.Payload, func(p *packet.Packet) {
-			if e.ep != nil {
-				e.ep.OnPacket(e.s.protoForHost(core.NodeID(dg.Src)), p)
-			}
-		})
+	from := e.s.protoForHost(core.NodeID(dg.Src))
+	if e.codec == nil {
+		p, err := packet.Decode(dg.Payload)
+		if err != nil {
+			e.s.c.Cfg.Metrics.CountDecodeError()
+			return
+		}
+		e.deliver(from, p)
 		return
 	}
-	p, err := packet.Decode(dg.Payload)
-	if err != nil {
+	// The codec counts a frame that fails any v2 guard as corrupt; such
+	// a frame emitted nothing and is dropped whole.
+	if err := e.codec.Decode(dg.Payload, func(p *packet.Packet) { e.deliver(from, p) }); err != nil {
 		return
 	}
+}
+
+func (e *sessEnv) deliver(from core.NodeID, p *packet.Packet) {
 	if e.ep != nil {
-		e.ep.OnPacket(e.s.protoForHost(core.NodeID(dg.Src)), p)
+		e.ep.OnPacket(from, p)
 	}
 }
 

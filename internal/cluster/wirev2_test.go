@@ -9,12 +9,16 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"rmcast/internal/check"
 	"rmcast/internal/cluster"
 	"rmcast/internal/core"
+	"rmcast/internal/packet"
 )
 
 // wirev2Scenarios covers all four protocol families under WireV2 with
@@ -202,6 +206,79 @@ func TestWireV2CorruptFrameInjection(t *testing.T) {
 	}
 	t.Logf("injected %d corrupt frames of %d seen; all detected, %d retransmissions repaired them",
 		injected, seen, res.Metrics.Retransmissions)
+}
+
+// TestInflateMemoOneReceiverCorrupt damages one receiver's copy of
+// compressed multicast frames that the receiver decoded just before it
+// got intact, so the pooled decoder's inflate memo holds the intact
+// body when the damaged copy arrives. Odd injections flip a bit inside
+// the compressed body, even ones a bit in the header or CRC trailer,
+// leaving the body equal to the memo. Every damaged copy must be
+// counted as corrupt and dropped, so the victim never delivers a
+// corrupt payload, and every receiver delivers the exact message.
+func TestInflateMemoOneReceiverCorrupt(t *testing.T) {
+	const victim = 3
+	ccfg := cluster.Default(8)
+	var msg []byte
+	for i := 0; len(msg) < 64<<10; i++ {
+		msg = append(msg, fmt.Sprintf("record %06d: window advanced, seq ok\n", i)...)
+	}
+	ccfg.Message = msg
+	pcfg := core.Config{Protocol: core.ProtoNAK, PacketSize: 512, WindowSize: 24,
+		PollInterval: 11, WireV2: true}
+	var last []byte // the frame most recently handed to any receiver's decoder
+	eligible, inBody, outside := 0, 0, 0
+	ccfg.RxMangle = func(rank int, frame []byte) []byte {
+		repeat := bytes.Equal(frame, last)
+		last = append(last[:0], frame...)
+		if rank != victim || !repeat ||
+			packet.WireFlags(frame[packet.HeaderLenV2-1])&packet.WireCompressed == 0 {
+			return frame
+		}
+		if eligible++; eligible%3 != 0 {
+			return frame
+		}
+		// The input is shared with the other receivers: damage a copy.
+		mut := append([]byte(nil), frame...)
+		bodyBits := (len(mut) - packet.HeaderLenV2 - packet.TrailerLen) * 8
+		if (inBody+outside)%2 == 0 {
+			bit := packet.HeaderLenV2*8 + (eligible*13)%bodyBits
+			mut[bit/8] ^= 1 << (bit % 8)
+			inBody++
+		} else {
+			// Past magic and version, which the strict decoder rejects
+			// before the CRC; the CRC must catch everything else.
+			outsideBits := []int{2 * 8, 3*8 + 1, 8*8 + 5, 18 * 8, (len(mut)-packet.TrailerLen)*8 + 3, len(mut)*8 - 1}
+			bit := outsideBits[outside%len(outsideBits)]
+			mut[bit/8] ^= 1 << (bit % 8)
+			outside++
+		}
+		return mut
+	}
+	delivered := map[core.NodeID][]byte{}
+	ccfg.OnDeliver = func(rank core.NodeID, _ time.Duration, payload []byte) {
+		delivered[rank] = append([]byte(nil), payload...)
+	}
+	res, err := cluster.Run(context.Background(), ccfg, cluster.ProtoSpec(pcfg), len(msg))
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if inBody == 0 || outside == 0 {
+		t.Fatalf("injector did not hit both kinds: %d in the body, %d outside it", inBody, outside)
+	}
+	if !res.Completed || !res.Verified {
+		t.Fatalf("session did not recover: completed=%v verified=%v", res.Completed, res.Verified)
+	}
+	if got, want := res.Metrics.CorruptFrames, uint64(inBody+outside); got != want {
+		t.Errorf("CorruptFrames = %d, injected %d: a damaged copy was accepted", got, want)
+	}
+	for r := core.NodeID(1); r <= core.NodeID(ccfg.NumReceivers); r++ {
+		if !bytes.Equal(delivered[r], msg) {
+			t.Errorf("receiver %d delivered %d bytes that differ from the message", r, len(delivered[r]))
+		}
+	}
+	t.Logf("damaged %d copies at receiver %d (%d in the body, %d outside it); all dropped",
+		inBody+outside, victim, inBody, outside)
 }
 
 // selectiveChurnScenario is one cell of the churn × selective-repeat

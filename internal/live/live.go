@@ -365,7 +365,8 @@ func (n *Node) onWire(frame []byte, src *net.UDPAddr) {
 	}
 	p, err := packet.Decode(frame)
 	if err != nil {
-		return // stray traffic on the port
+		n.mx.CountDecodeError() // stray traffic on the port
+		return
 	}
 	n.onPacket(p, src)
 }
@@ -378,6 +379,7 @@ func (n *Node) onPacket(p *packet.Packet, src *net.UDPAddr) {
 		return // our own multicast looped back
 	}
 	if int(from) > n.cfg.Protocol.NumReceivers {
+		n.mx.CountUnknownSource()
 		return
 	}
 	// Every packet teaches us its sender's unicast address and proves

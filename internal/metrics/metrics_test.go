@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -38,6 +39,8 @@ func TestNilSafety(t *testing.T) {
 	sess.AddSenderBusy(time.Second)
 	sess.SetSenderBusy(time.Second)
 	sess.ObserveCompletion(1, time.Second)
+	sess.CountDecodeError()
+	sess.CountUnknownSource()
 	if sess.Registry() != nil {
 		t.Fatal("nil session registry should be nil")
 	}
@@ -225,5 +228,36 @@ func TestMetricsFprint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("dump missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestReceiveDropCounters: decode errors and unknown-source drops are
+// counted, merged and printed, and stay out of the JSON form while zero
+// so outputs of healthy runs are unchanged.
+func TestReceiveDropCounters(t *testing.T) {
+	s := NewSession()
+	js, err := json.Marshal(s.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(js, []byte("decode_errors")) || bytes.Contains(js, []byte("unknown_source_drops")) {
+		t.Fatalf("zero drop counters serialized: %s", js)
+	}
+	s.CountDecodeError()
+	s.CountDecodeError()
+	s.CountUnknownSource()
+	m := s.Snapshot()
+	if m.DecodeErrors != 2 || m.UnknownSourceDrops != 1 {
+		t.Fatalf("drops = %d/%d, want 2/1", m.DecodeErrors, m.UnknownSourceDrops)
+	}
+	if sum := Merge(m, m); sum.DecodeErrors != 4 || sum.UnknownSourceDrops != 2 {
+		t.Fatalf("merged drops = %d/%d, want 4/2", sum.DecodeErrors, sum.UnknownSourceDrops)
+	}
+	var buf bytes.Buffer
+	if err := m.Fprint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "decode_errors") || !strings.Contains(buf.String(), "unknown_source_drops") {
+		t.Fatalf("dump missing drop counters:\n%s", buf.String())
 	}
 }

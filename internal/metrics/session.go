@@ -54,6 +54,9 @@ type Session struct {
 	carrierFrames    *Counter
 	coalescedPackets *Counter
 
+	decodeErrors   *Counter
+	unknownSources *Counter
+
 	completion *Histogram
 	rtt        *Histogram
 
@@ -84,6 +87,8 @@ func NewSession() *Session {
 	s.compressedFrames = s.reg.Counter("compressed_frames")
 	s.carrierFrames = s.reg.Counter("carrier_frames")
 	s.coalescedPackets = s.reg.Counter("coalesced_packets")
+	s.decodeErrors = s.reg.Counter("decode_errors")
+	s.unknownSources = s.reg.Counter("unknown_source_drops")
 	s.senderBusy = s.reg.Gauge("sender_busy_ns")
 	s.srtt = s.reg.Gauge("srtt_ns")
 	s.completion = s.reg.Histogram("completion_latency")
@@ -167,6 +172,22 @@ func (s *Session) CountCorruptFrame() {
 	}
 }
 
+// CountDecodeError records one arriving v1 datagram that failed to
+// decode and was dropped. (A v2 frame that fails is a corrupt frame.)
+func (s *Session) CountDecodeError() {
+	if s != nil {
+		s.decodeErrors.Inc()
+	}
+}
+
+// CountUnknownSource records one arriving datagram dropped because its
+// source is not a member of the session.
+func (s *Session) CountUnknownSource() {
+	if s != nil {
+		s.unknownSources.Inc()
+	}
+}
+
 // AddOverflowDrops records n datagrams lost to full receive buffers.
 func (s *Session) AddOverflowDrops(n uint64) {
 	if s != nil {
@@ -237,6 +258,13 @@ type Metrics struct {
 	CarrierFrames    uint64 `json:"carrier_frames,omitempty"`
 	CoalescedPackets uint64 `json:"coalesced_packets,omitempty"`
 
+	// Receive-side drops the transport made before any endpoint saw a
+	// packet: v1 datagrams that failed to decode, and datagrams from a
+	// source outside the session. Zero, and absent from the JSON form,
+	// in every healthy run.
+	DecodeErrors       uint64 `json:"decode_errors,omitempty"`
+	UnknownSourceDrops uint64 `json:"unknown_source_drops,omitempty"`
+
 	// SenderBusy is the sender host's serial CPU occupancy over the
 	// session — the resource ACK implosion exhausts first.
 	SenderBusy time.Duration `json:"sender_busy_ns"`
@@ -274,6 +302,8 @@ func (s *Session) Snapshot() Metrics {
 	m.CompressedFrames = s.compressedFrames.Load()
 	m.CarrierFrames = s.carrierFrames.Load()
 	m.CoalescedPackets = s.coalescedPackets.Load()
+	m.DecodeErrors = s.decodeErrors.Load()
+	m.UnknownSourceDrops = s.unknownSources.Load()
 	m.SenderBusy = time.Duration(s.senderBusy.Load())
 	m.SRTT = time.Duration(s.srtt.Load())
 	if h := s.rtt.Snapshot(); h.Count > 0 {
@@ -340,6 +370,12 @@ func (m Metrics) Fprint(w io.Writer) error {
 			return err
 		}
 	}
+	if m.DecodeErrors > 0 || m.UnknownSourceDrops > 0 {
+		if _, err := fmt.Fprintf(w, "decode_errors                    %d\nunknown_source_drops             %d\n",
+			m.DecodeErrors, m.UnknownSourceDrops); err != nil {
+			return err
+		}
+	}
 	if h := m.RTTHist; h != nil && h.Count > 0 {
 		if _, err := fmt.Fprintf(w, "rtt                              count=%d mean=%v max=%v srtt=%v\n",
 			h.Count, h.Mean(), h.Max, m.SRTT); err != nil {
@@ -378,6 +414,8 @@ func Merge(ms ...Metrics) Metrics {
 		out.CompressedFrames += m.CompressedFrames
 		out.CarrierFrames += m.CarrierFrames
 		out.CoalescedPackets += m.CoalescedPackets
+		out.DecodeErrors += m.DecodeErrors
+		out.UnknownSourceDrops += m.UnknownSourceDrops
 		out.SenderBusy += m.SenderBusy
 		if m.SRTT > out.SRTT {
 			out.SRTT = m.SRTT

@@ -173,7 +173,16 @@ func DecodeFrameV2(b []byte, emit func(*Packet)) error {
 	return decodeV2(b, emit)
 }
 
+// decodeV2 decodes one v2 frame with decoder state from the pool.
 func decodeV2(b []byte, emit func(*Packet)) error {
+	d := decoders.Get().(*decoder)
+	defer decoders.Put(d)
+	return d.decodeV2(b, emit)
+}
+
+// decodeV2 runs every v2 guard on b in order, then emits its packets
+// through d's scratch state.
+func (d *decoder) decodeV2(b []byte, emit func(*Packet)) error {
 	if len(b) < HeaderLenV2+TrailerLen {
 		return ErrTruncated
 	}
@@ -188,8 +197,6 @@ func decodeV2(b []byte, emit func(*Packet)) error {
 	if wf&^wireFlagsKnown != 0 {
 		return ErrBadWireFlags
 	}
-	d := decoders.Get().(*decoder)
-	defer decoders.Put(d)
 	payload := body[HeaderLenV2:]
 	if wf&WireCompressed != 0 {
 		var err error
@@ -296,17 +303,36 @@ func (d *deflater) deflate(src []byte) []byte {
 // decoder is the reusable state of one decode call: the packet it
 // emits, and the flate reader, its input, its output bound and its
 // output buffer.
+//
+// It also memoizes its last successful inflate. A multicast frame
+// reaches every receiver as the same bytes, and a simulation decodes
+// all of those copies in one process, so every receiver after the
+// first would otherwise repeat the same flate decode. The memo keys on
+// a private copy of the whole compressed input, never a hash, so a hit
+// is exact; every other guard (CRC, type, wire flags, carrier
+// validation) still runs per frame before and after it.
 type decoder struct {
 	pkt Packet
 	src bytes.Reader
 	fr  io.ReadCloser
 	lr  io.LimitedReader
 	out bytes.Buffer
+
+	memoIn  []byte // compressed input of the last successful inflate
+	memoOut []byte // its inflated output
 }
 
 // inflate decompresses src into d's buffer, rejecting anything that
 // expands past maxInflate. The result is valid until d's next use.
+// Input equal to the last successful inflate's is served from the
+// memo; it is copied into d's buffer like any other result, so a
+// handler that scribbles on its borrowed payload cannot reach the memo.
 func (d *decoder) inflate(src []byte) ([]byte, error) {
+	d.out.Reset()
+	if len(d.memoIn) > 0 && bytes.Equal(src, d.memoIn) {
+		d.out.Write(d.memoOut)
+		return d.out.Bytes(), nil
+	}
 	d.src.Reset(src)
 	if d.fr == nil {
 		d.fr = flate.NewReader(&d.src)
@@ -314,10 +340,11 @@ func (d *decoder) inflate(src []byte) ([]byte, error) {
 		return nil, ErrBadCompression
 	}
 	d.lr = io.LimitedReader{R: d.fr, N: maxInflate + 1}
-	d.out.Reset()
 	if _, err := d.out.ReadFrom(&d.lr); err != nil || d.out.Len() > maxInflate {
 		return nil, ErrBadCompression
 	}
+	d.memoIn = append(d.memoIn[:0], src...)
+	d.memoOut = append(d.memoOut[:0], d.out.Bytes()...)
 	return d.out.Bytes(), nil
 }
 

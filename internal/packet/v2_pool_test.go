@@ -130,9 +130,9 @@ func TestV2ConcurrentCodec(t *testing.T) {
 }
 
 // codecWorker round-trips rounds of worker-specific plain and carrier
-// frames, returning the first mismatch. Each carrier's second inner
-// packet has no payload, so a scratch Packet that kept its previous
-// payload would show.
+// frames, each decoded three times, returning the first mismatch. Each
+// carrier's second inner packet has no payload, so a scratch Packet
+// that kept its previous payload would show.
 func codecWorker(w, rounds int) error {
 	var frames [][]byte
 	b := &Batcher{MinCompress: DefaultCompressThreshold, Emit: func(f []byte, _, _ int) {
@@ -159,9 +159,27 @@ func codecWorker(w, rounds int) error {
 		b.Flush()
 		var got []*Packet
 		for _, f := range frames {
-			if err := DecodeFrameV2(f, func(p *Packet) { got = append(got, p.Clone()) }); err != nil {
-				return fmt.Errorf("worker %d round %d: %v", w, r, err)
+			var first []*Packet
+			// Decode each frame as three receivers would, scribbling
+			// over the borrowed payloads: the repeats may be served by
+			// the inflate memo and must match the first decode.
+			for rep := 0; rep < 3; rep++ {
+				var these []*Packet
+				if err := DecodeFrameV2(f, func(p *Packet) {
+					these = append(these, p.Clone())
+					for i := range p.Payload {
+						p.Payload[i] ^= 0x5A
+					}
+				}); err != nil {
+					return fmt.Errorf("worker %d round %d: %v", w, r, err)
+				}
+				if rep == 0 {
+					first = these
+				} else if !samePackets(these, first) {
+					return fmt.Errorf("worker %d round %d: decode %d of a frame differs from the first", w, r, rep+1)
+				}
 			}
+			got = append(got, first...)
 		}
 		if len(got) != len(want) {
 			return fmt.Errorf("worker %d round %d: got %d packets, want %d", w, r, len(got), len(want))
@@ -176,27 +194,37 @@ func codecWorker(w, rounds int) error {
 }
 
 // TestV2DecodeSteadyStateAllocs pins the pooled codec's steady state:
-// decoding a compressed carrier allocates nothing, and encoding a
-// compressible packet allocates only the frame it returns.
+// decoding a compressed carrier allocates nothing, whether it inflates
+// or is served by the inflate memo, and encoding a compressible packet
+// allocates only the frame it returns.
 func TestV2DecodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	frame := v2Corpus()["carrier-compressed"]
-	if WireFlags(frame[HeaderLenV2-1]) != WireCarrier|WireCompressed {
-		t.Fatalf("corpus frame has wire flags %#x, want a compressed carrier", frame[HeaderLenV2-1])
+	a, b := v2Corpus()["carrier-compressed"], carrierFrame(DefaultCompressThreshold, 20)
+	for _, frame := range [][]byte{a, b} {
+		if WireFlags(frame[HeaderLenV2-1]) != WireCarrier|WireCompressed {
+			t.Fatalf("corpus frame has wire flags %#x, want a compressed carrier", frame[HeaderLenV2-1])
+		}
 	}
 	emitted := 0
 	emit := func(*Packet) { emitted++ }
-	if a := testing.AllocsPerRun(100, func() {
+	decode := func(frame []byte) {
 		if err := DecodeFrameV2(frame, emit); err != nil {
 			t.Fatal(err)
 		}
-	}); a != 0 {
-		t.Fatalf("DecodeFrameV2 of a compressed carrier allocated %.1f objects, want 0", a)
+	}
+	// Two carriers in turn miss the one-entry memo, so each inflates.
+	if n := testing.AllocsPerRun(100, func() { decode(a); decode(b) }); n != 0 {
+		t.Fatalf("inflating compressed carriers allocated %.1f objects per pair, want 0", n)
+	}
+	// One carrier again and again, as a multicast's receivers see it,
+	// hits the memo.
+	if n := testing.AllocsPerRun(100, func() { decode(a) }); n != 0 {
+		t.Fatalf("a memo hit allocated %.1f objects, want 0", n)
 	}
 	if emitted == 0 {
-		t.Fatal("measured loop emitted nothing")
+		t.Fatal("measured loops emitted nothing")
 	}
 	p := &Packet{Type: TypeData, Seq: 3, Payload: []byte(strings.Repeat("compressible! ", 30))}
 	if a := testing.AllocsPerRun(100, func() { EncodeV2(p, DefaultCompressThreshold) }); a > 1 {
@@ -222,17 +250,33 @@ func BenchmarkEncodeV2(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeFrameV2 measures one receiver's decode. The
+// carrier-compressed case alternates two carriers, so every decode
+// misses the inflate memo and runs flate; the fanout30 case decodes
+// each of those carriers 30 times per op, as a multicast's 30
+// receivers do, so one decode in 30 inflates and the rest hit.
 func BenchmarkDecodeFrameV2(b *testing.B) {
 	corpus := v2Corpus()
+	carriers := [][]byte{corpus["carrier-compressed"], carrierFrame(DefaultCompressThreshold, 20)}
 	emit := func(*Packet) {}
-	for _, name := range []string{"plain", "carrier-compressed"} {
-		frame := corpus[name]
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		frames [][]byte
+		fanout int
+	}{
+		{"plain", [][]byte{corpus["plain"]}, 1},
+		{"carrier-compressed", carriers, 1},
+		{"carrier-compressed-fanout30", carriers, 30},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.SetBytes(int64(len(frame)))
+			b.SetBytes(int64(len(bc.frames[0]) * bc.fanout))
 			for i := 0; i < b.N; i++ {
-				if err := DecodeFrameV2(frame, emit); err != nil {
-					b.Fatal(err)
+				frame := bc.frames[i%len(bc.frames)]
+				for r := 0; r < bc.fanout; r++ {
+					if err := DecodeFrameV2(frame, emit); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

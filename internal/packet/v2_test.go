@@ -220,24 +220,28 @@ func v2Corpus() map[string][]byte {
 		Payload: []byte("plain v2 payload")}, 0)
 	compressed, _ := EncodeV2(&Packet{Type: TypeData, MsgID: 3, Seq: 6, Aux: 2000,
 		Payload: []byte(strings.Repeat("compressible! ", 30))}, DefaultCompressThreshold)
-	mk := func(min int) []byte {
-		var frame []byte
-		b := &Batcher{MinCompress: min, Emit: func(f []byte, _, _ int) {
-			frame = append([]byte(nil), f...)
-		}}
-		for i := 0; i < 4; i++ {
-			b.Add(&Packet{Type: TypeData, MsgID: 3, Seq: uint32(10 + i),
-				Payload: []byte(strings.Repeat("log line\n", 10))})
-		}
-		b.Flush()
-		return frame
-	}
 	return map[string][]byte{
 		"plain":              plain,
 		"compressed":         compressed,
-		"carrier":            mk(0),
-		"carrier-compressed": mk(DefaultCompressThreshold),
+		"carrier":            carrierFrame(0, 10),
+		"carrier-compressed": carrierFrame(DefaultCompressThreshold, 10),
 	}
+}
+
+// carrierFrame coalesces four log-line data packets with sequence
+// numbers from seq0 into one carrier, compressed when min allows.
+// Distinct seq0 values give distinct compressed bodies.
+func carrierFrame(min int, seq0 uint32) []byte {
+	var frame []byte
+	b := &Batcher{MinCompress: min, Emit: func(f []byte, _, _ int) {
+		frame = append([]byte(nil), f...)
+	}}
+	for i := uint32(0); i < 4; i++ {
+		b.Add(&Packet{Type: TypeData, MsgID: 3, Seq: seq0 + i,
+			Payload: []byte(strings.Repeat("log line\n", 10))})
+	}
+	b.Flush()
+	return frame
 }
 
 // TestV2BitFlipsAllRejected flips every bit of every v2 frame shape

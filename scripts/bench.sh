@@ -27,9 +27,17 @@ sharded=$(go test -run '^$' -bench 'BenchmarkProto(Tree|Ring)1024' \
 	-benchmem -benchtime "$BENCHTIME" .)
 # Small-message regime, v1 vs v2 framing: wire-KB is the bytes the
 # session put on the wire (coalescing + compression cut it roughly in
-# half); v2's higher ns/op is the flate CPU the harness pays for that.
+# half). v2's extra ns/op is now mostly the sender's deflate: the
+# receivers of one multicast frame share a single inflate through the
+# decoder's memo.
 wirev2=$(go test -run '^$' -bench 'BenchmarkProtoSmallMsg(V1|V2)' \
 	-benchmem -benchtime "$BENCHTIME" .)
+# The v2 codec alone: encode, and one receiver's decode of a plain
+# frame, of compressed carriers that each inflate (carrier-compressed),
+# and of each carrier 30 times as a multicast's receivers decode it
+# (carrier-compressed-fanout30: one inflate, 29 memo hits).
+codec=$(go test -run '^$' -bench 'Benchmark(EncodeV2|DecodeFrameV2)' \
+	-benchmem -benchtime 20000x ./internal/packet)
 
 # parse_bench turns `go test -bench` output lines into JSON map entries.
 parse_bench() {
@@ -73,7 +81,7 @@ parse_bench() {
 	printf '    "BenchmarkProtoTree2MB": {"ns_per_op": 147900000, "allocs_per_op": 675151, "sim_mbps": 91.77}\n'
 	printf '  },\n'
 	printf '  "benchmarks": {\n'
-	printf '%s\n%s\n%s\n%s\n' "$proto" "$micro" "$frag" "$wirev2" | parse_bench
+	printf '%s\n%s\n%s\n%s\n%s\n' "$proto" "$micro" "$frag" "$wirev2" "$codec" | parse_bench
 	printf '  },\n'
 	# 1024-receiver fat-tree sessions, serial engine vs the sharded one.
 	# The sharded engine reproduces the serial run byte-for-byte (the
